@@ -1,18 +1,19 @@
 // Distributed sweep execution: -coordinator serves every experiment's
-// cell sweep to workers over HTTP; -worker joins a coordinator and runs
-// cells until the whole session is done. Rendered figures and the
-// journal are byte-identical to a single-process -jobs 1 run.
+// cell sweep to workers over HTTP; -worker (cli.RunWorkerMode) joins a
+// coordinator and runs cells until the whole session is done. Rendered
+// figures and the journal are byte-identical to a single-process -jobs 1
+// run.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"time"
 
+	"memnet/internal/cli"
 	"memnet/internal/dist"
 	"memnet/internal/exp"
 )
@@ -33,7 +34,7 @@ func startCoordinator(addr string, lease time.Duration, j *exp.Journal, loaded m
 		LeaseTTL: lease,
 		Journal:  j,
 		Loaded:   loaded,
-		Logf:     logfStderr,
+		Logf:     cli.Logf,
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -79,47 +80,4 @@ func (d *distCoordinator) close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	d.srv.Shutdown(ctx)
-}
-
-// runWorkerMode joins the coordinator at url and executes cells until
-// the session completes. fallbackPath, when set, is the local salvage
-// journal for results the worker finished but could not deliver.
-// SIGINT/SIGTERM cancels the worker: the in-flight cell aborts at the
-// next kernel check and is reassigned when its lease expires.
-func runWorkerMode(url, fallbackPath string) {
-	ctx, stopSignals := interruptContext()
-	defer stopSignals()
-	var fb *exp.Journal
-	if fallbackPath != "" {
-		j, loaded, err := exp.OpenJournal(fallbackPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -journal: %v\n", err)
-			os.Exit(1)
-		}
-		if len(loaded) > 0 {
-			fmt.Fprintf(os.Stderr, "worker: fallback journal already holds %d salvaged cell(s)\n", len(loaded))
-		}
-		fb = j
-	}
-	stats, err := dist.RunWorker(ctx, dist.WorkerConfig{
-		Coordinator: url,
-		Fallback:    fb,
-		Logf:        logfStderr,
-	})
-	if fb != nil {
-		fb.Close()
-	}
-	fmt.Printf("worker: ran %d cell(s), delivered %d, salvaged %d (%d RPC retries)\n",
-		stats.CellsRun, stats.CellsDelivered, stats.Salvaged, stats.RPCRetries)
-	if errors.Is(err, context.Canceled) {
-		exitInterrupted("worker: interrupted; abandoned cell will be reassigned when its lease expires")
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func logfStderr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"memnet/internal/audit"
+	"memnet/internal/cli"
 	"memnet/internal/dist"
 	"memnet/internal/exp"
 	"memnet/internal/fault"
@@ -109,7 +110,10 @@ func main() {
 				os.Exit(1)
 			}
 		})
-		runWorkerMode(*workerURL, *journalPath)
+		if err := cli.RunWorkerMode(*workerURL, *journalPath); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *coordAddr != "" && *runName == "" {
@@ -135,19 +139,18 @@ func main() {
 		return
 	}
 
-	stop, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
+	if err := cli.StartProfiles(*cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	stopProfiles = stop
-	defer stopProfiles()
+	defer cli.StopProfiles()
 
-	ctx, stopSignals := interruptContext()
+	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
 
 	r := exp.NewRunner()
 	r.Ctx = ctx
+	var err error
 	if r.SimTime, err = parseDuration(*simtime); err != nil {
 		fmt.Fprintf(os.Stderr, "bad -simtime: %v\n", err)
 		os.Exit(1)
@@ -279,7 +282,7 @@ func main() {
 			if dc != nil {
 				dc.close()
 			}
-			exitInterrupted(summary)
+			cli.ExitInterrupted(summary)
 		}
 		if len(fails) == 0 {
 			return
@@ -303,7 +306,7 @@ func main() {
 			// os.Exit skips defers: dismiss the workers first.
 			dc.close()
 		}
-		stopProfiles()
+		cli.StopProfiles()
 		os.Exit(1)
 	}
 

@@ -1,12 +1,12 @@
 // Distributed sweep execution: -coordinator serves a -config batch to
-// workers over HTTP; -worker joins a coordinator and runs cells until
-// the sweep is done. The merged journal and stdout report are
-// byte-identical to a single-process -jobs 1 run of the same config.
+// workers over HTTP; -worker (cli.RunWorkerMode) joins a coordinator and
+// runs cells until the sweep is done. The merged journal and stdout
+// report are byte-identical to a single-process -jobs 1 run of the same
+// config.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -14,23 +14,21 @@ import (
 	"os"
 	"time"
 
+	"memnet/internal/cli"
 	"memnet/internal/dist"
 	"memnet/internal/exp"
 )
 
 // serveBatch runs the batch's cells through a coordinator listening on
 // addr instead of the local pool, blocking until every cell is done.
-// Results and errors align with specs, exactly like RunSpecsJournaled.
+// Results and errors align with specs, exactly like exp.RunSpecsJournaled.
 func serveBatch(addr string, lease time.Duration, specs []exp.Spec,
 	j *exp.Journal, loaded map[string]exp.Result) ([]exp.Result, []error) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
 	c := dist.NewCoordinator(dist.Config{
 		LeaseTTL: lease,
 		Journal:  j,
 		Loaded:   loaded,
-		Logf:     logf,
+		Logf:     cli.Logf,
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -62,57 +60,4 @@ func serveBatch(addr string, lease time.Duration, specs []exp.Spec,
 	defer cancel()
 	srv.Shutdown(shutdownCtx)
 	return results, errs
-}
-
-// runWorkerMode joins the coordinator at url and executes cells until
-// the sweep completes (the lease TTL is the coordinator's to grant).
-// fallbackPath, when set, is the local salvage journal for results the
-// worker finished but could not deliver. SIGINT/SIGTERM cancels the
-// worker's context: the in-flight cell aborts at the next kernel check,
-// its lease expires and the coordinator reassigns it, and the worker
-// exits 130 after reporting what it delivered.
-func runWorkerMode(url, fallbackPath string) {
-	ctx, stopSignals := interruptContext()
-	defer stopSignals()
-	var fb *exp.Journal
-	if fallbackPath != "" {
-		j, loaded, err := exp.OpenJournal(fallbackPath)
-		if err != nil {
-			log.Fatalf("bad -journal: %v", err)
-		}
-		if len(loaded) > 0 {
-			fmt.Fprintf(os.Stderr, "worker: fallback journal already holds %d salvaged cell(s)\n", len(loaded))
-		}
-		fb = j
-	}
-	stats, err := dist.RunWorker(ctx, dist.WorkerConfig{
-		Coordinator: url,
-		Fallback:    fb,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if fb != nil {
-		fb.Close()
-	}
-	fmt.Printf("worker: ran %d cell(s), delivered %d, salvaged %d (%d RPC retries)\n",
-		stats.CellsRun, stats.CellsDelivered, stats.Salvaged, stats.RPCRetries)
-	if errors.Is(err, context.Canceled) {
-		exitInterrupted("worker: interrupted; abandoned cell will be reassigned when its lease expires")
-	}
-	if err != nil {
-		log.Fatalf("worker: %v", err)
-	}
-}
-
-// countPanics reports how many of errs wrap a recovered cell panic.
-func countPanics(errs []error) int {
-	n := 0
-	for _, err := range errs {
-		var pe *exp.PanicError
-		if errors.As(err, &pe) {
-			n++
-		}
-	}
-	return n
 }

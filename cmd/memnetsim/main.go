@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"memnet/internal/audit"
+	"memnet/internal/cli"
 	"memnet/internal/core"
 	"memnet/internal/dist"
 	"memnet/internal/exp"
@@ -104,7 +105,9 @@ func main() {
 				log.Fatalf("bad -%s: not supported with -worker (profiles flush only at a clean exit)", f.Name)
 			}
 		})
-		runWorkerMode(*workerURL, *journalPath)
+		if err := cli.RunWorkerMode(*workerURL, *journalPath); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if *coordAddr != "" && *config == "" {
@@ -158,12 +161,10 @@ func main() {
 		metricsIv = sim.Duration(mi.Nanoseconds()) * sim.Nanosecond
 	}
 
-	stop, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
+	if err := cli.StartProfiles(*cpuProfile, *memProfile); err != nil {
 		log.Fatal(err)
 	}
-	stopProfiles = stop
-	defer stopProfiles()
+	defer cli.StopProfiles()
 
 	if *sweepbench != "" {
 		if *metricsOn {
@@ -176,7 +177,7 @@ func main() {
 		return
 	}
 
-	ctx, stopSignals := interruptContext()
+	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
 
 	if *config != "" {
@@ -270,10 +271,10 @@ func main() {
 	}
 
 	start := time.Now()
-	res, err := exp.RunCtx(ctx, spec)
+	res, err := exp.RunBudgeted(ctx, spec, exp.Budget{})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			exitInterrupted(fmt.Sprintf(
+			cli.ExitInterrupted(fmt.Sprintf(
 				"interrupted after %.2fs wall; no result (single runs have nothing partial to keep)",
 				time.Since(start).Seconds()))
 		}
@@ -366,7 +367,7 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 	if coordAddr != "" {
 		results, errs = serveBatch(coordAddr, lease, specs, j, loaded)
 	} else {
-		results, errs = exp.RunSpecsJournaledCtx(ctx, specs, jobs, j, loaded)
+		results, errs = exp.RunSpecsJournaled(ctx, specs, jobs, j, loaded)
 	}
 	if err := ctx.Err(); err != nil {
 		completed := 0
@@ -380,7 +381,7 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 			j.Close() // flush before os.Exit skips the defer
 			summary += fmt.Sprintf("; rerun with -journal %s to resume", journalPath)
 		}
-		exitInterrupted(summary)
+		cli.ExitInterrupted(summary)
 	}
 	failed := 0
 	var entries []metrics.Entry
@@ -401,13 +402,13 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 	fmt.Printf("batch: %d runs in %.2fs wall (-jobs %d)\n",
 		len(specs), time.Since(start).Seconds(), jobs)
 	if failed > 0 {
-		if panicked := countPanics(errs); panicked > 0 {
+		if panicked := cli.CountPanics(errs); panicked > 0 {
 			fmt.Fprintf(os.Stderr, "%d of %d runs failed (%d panicked)\n", failed, len(specs), panicked)
 		} else {
 			fmt.Fprintf(os.Stderr, "%d of %d runs failed\n", failed, len(specs))
 		}
 		// os.Exit skips defers: flush any armed profiles first.
-		stopProfiles()
+		cli.StopProfiles()
 		os.Exit(1)
 	}
 }

@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"fmt"
@@ -7,27 +7,28 @@ import (
 	"runtime/pprof"
 )
 
-// stopProfiles flushes any armed profiles. main swaps in the real stop
-// function once profiling starts; until then it is a no-op so error
-// paths can call it unconditionally. os.Exit skips defers, so exit
-// paths that should still produce usable profiles call this directly.
+// stopProfiles flushes whatever StartProfiles armed; until then it is
+// a no-op so error paths can call StopProfiles unconditionally.
 var stopProfiles = func() {}
 
-// startProfiles arms CPU and/or heap profiling per -cpuprofile and
+// StopProfiles flushes any armed profiles. It is idempotent. os.Exit
+// skips defers, so exit paths that should still produce usable profiles
+// call it directly or the files come out truncated.
+func StopProfiles() { stopProfiles() }
+
+// StartProfiles arms CPU and/or heap profiling per -cpuprofile and
 // -memprofile. Both files are created up front so a bad path fails fast,
-// before any simulation runs. The returned stop function flushes the
-// profiles; it is idempotent, and exit paths that bypass defers
-// (os.Exit) must call it explicitly or the files come out truncated.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// before any simulation runs. Flush them with StopProfiles.
+func StartProfiles(cpuPath, memPath string) error {
 	var cpuFile, memFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			return nil, fmt.Errorf("bad -cpuprofile: %v", err)
+			return fmt.Errorf("bad -cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("bad -cpuprofile: %v", err)
+			return fmt.Errorf("bad -cpuprofile: %v", err)
 		}
 		cpuFile = f
 	}
@@ -38,12 +39,12 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 				pprof.StopCPUProfile()
 				cpuFile.Close()
 			}
-			return nil, fmt.Errorf("bad -memprofile: %v", err)
+			return fmt.Errorf("bad -memprofile: %v", err)
 		}
 		memFile = f
 	}
 	stopped := false
-	return func() {
+	stopProfiles = func() {
 		if stopped {
 			return
 		}
@@ -61,5 +62,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			}
 			memFile.Close()
 		}
-	}, nil
+	}
+	return nil
 }

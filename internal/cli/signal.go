@@ -1,4 +1,7 @@
-package main
+// Package cli is the process plumbing the memnet commands share: the
+// interrupt context, the profile flags, and the distributed-sweep
+// worker mode.
+package cli
 
 import (
 	"context"
@@ -8,7 +11,7 @@ import (
 	"syscall"
 )
 
-// interruptContext returns a context canceled on the first SIGINT or
+// InterruptContext returns a context canceled on the first SIGINT or
 // SIGTERM, so in-flight simulations abort within one kernel check
 // interval instead of dying mid-write: journal entries already appended
 // are fsynced, and the caller gets control back to flush profiles and
@@ -17,7 +20,7 @@ import (
 //
 // The returned stop function detaches the handler; call it once the
 // run completes so a late ^C behaves normally again.
-func interruptContext() (context.Context, func()) {
+func InterruptContext() (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -41,10 +44,11 @@ func interruptContext() (context.Context, func()) {
 	}
 }
 
-// exitInterrupted is the common interrupted-exit path: flush profiles
-// (os.Exit skips defers) and exit 130, the conventional SIGINT status.
-func exitInterrupted(summary string) {
+// ExitInterrupted is the common interrupted-exit path: print summary,
+// flush profiles (os.Exit skips defers) and exit 130, the conventional
+// SIGINT status.
+func ExitInterrupted(summary string) {
 	fmt.Fprintln(os.Stderr, summary)
-	stopProfiles()
+	StopProfiles()
 	os.Exit(130)
 }

@@ -52,10 +52,11 @@ type WorkerConfig struct {
 	// could not deliver before exiting — the local salvage journal. It
 	// may be shared by several workers (Journal.Append locks).
 	Fallback *exp.Journal
-	// Run executes one cell (default exp.RunCellCtx; tests substitute
-	// instrumented runners). The context is the worker's own: when the
-	// worker is killed mid-cell the simulation aborts within one kernel
-	// check interval instead of burning CPU on a lease nobody holds.
+	// Run executes one cell (default exp.RunBudgeted with no budget;
+	// tests substitute instrumented runners). The context is the
+	// worker's own: when the worker is killed mid-cell the simulation
+	// aborts within one kernel check interval instead of burning CPU on
+	// a lease nobody holds.
 	Run func(context.Context, exp.Spec) (exp.Result, error)
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -161,7 +162,9 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 		w.backoff = DefaultBackoff
 	}
 	if w.run == nil {
-		w.run = exp.RunCellCtx
+		w.run = func(ctx context.Context, s exp.Spec) (exp.Result, error) {
+			return exp.RunBudgeted(ctx, s, exp.Budget{})
+		}
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}

@@ -8,7 +8,7 @@
 // It lives in the package proper rather than a _test file so the chaos
 // soak, the unit tests, and any future fault-injection CLI share one
 // implementation; production binaries never construct one.
-package serve
+package durable
 
 import (
 	"io/fs"

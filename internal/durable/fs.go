@@ -1,11 +1,15 @@
-// Filesystem seam for the daemon's durable state. The store and the
-// accept journal perform every disk operation through FS/File instead
-// of calling the os package directly, so tests can inject the failures
-// a long-lived deployment actually meets — ENOSPC mid-append, a torn
-// write under a crash, an unreadable entry — deterministically and
-// without root or loop devices. Production code always runs on OSFS,
-// which delegates 1:1 to the os package.
-package serve
+// Package durable holds memnet's crash-safe file primitives: the
+// filesystem seam every durable file goes through (FS, File, OSFS and
+// the fault-injecting FaultFS), the advisory single-writer flock, and
+// Log, the append-only JSON-lines file under both the sweep journal
+// (exp.Journal) and memnetd's accept journal (serve.AcceptLog).
+//
+// The seam lets tests inject the failures a long-lived deployment
+// actually meets — ENOSPC mid-append, a torn write under a crash, an
+// unreadable entry — deterministically and without root or loop
+// devices. Production code always runs on OSFS, which delegates 1:1 to
+// the os package.
+package durable
 
 import (
 	"io"
@@ -14,8 +18,9 @@ import (
 	"time"
 )
 
-// FS is the set of filesystem operations the store and accept journal
-// need. Implementations must be safe for concurrent use.
+// FS is the set of filesystem operations the durable files (the result
+// store and both journals) need. Implementations must be safe for
+// concurrent use.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)

@@ -1,15 +1,15 @@
 //go:build unix
 
-package exp
+package durable
 
 import "syscall"
 
-// lockJournal takes a non-blocking advisory flock on the journal file.
-// A second opener — a stray CLI racing a daemon, or two daemons pointed
+// lock takes a non-blocking advisory flock on an open log file. A
+// second opener — a stray CLI racing a daemon, or two daemons pointed
 // at the same path — gets syscall.EWOULDBLOCK instead of silently
 // interleaving appends. The lock lives with the file descriptor and is
 // released automatically on Close or process death, so a crashed holder
 // never wedges the path.
-func lockJournal(fd uintptr) error {
+func lock(fd uintptr) error {
 	return syscall.Flock(int(fd), syscall.LOCK_EX|syscall.LOCK_NB)
 }

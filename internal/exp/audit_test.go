@@ -128,7 +128,7 @@ func TestAuditViolationFailsCellGracefully(t *testing.T) {
 			}}
 			return Result{}, e
 		}
-		return Run(s)
+		return simulate(context.Background(), s, Budget{})
 	}
 	defer func() { runImpl = orig }()
 

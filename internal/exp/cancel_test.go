@@ -44,22 +44,25 @@ func TestRunBudgetedEventBudget(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundUnarmed pins that RunCtx with a background context
-// and no budget never arms the kernel check: a plain Run and a
-// background RunCtx produce identical results.
+// TestRunCtxBackgroundUnarmed pins that the kernel check is purely
+// observational: a plain Run (background context, no budget, check
+// unarmed) and a RunBudgeted with a live cancelable context checked
+// every event produce identical results.
 func TestRunCtxBackgroundUnarmed(t *testing.T) {
 	spec := tinySpec(core.PolicyNone, MechFP)
 	plain, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := RunCtx(context.Background(), spec)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	armed, err := RunBudgeted(ctx, spec, Budget{CheckEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Events != ctxed.Events || plain.Throughput != ctxed.Throughput {
-		t.Fatalf("RunCtx(Background) diverged from Run: %d/%v vs %d/%v",
-			plain.Events, plain.Throughput, ctxed.Events, ctxed.Throughput)
+	if plain.Events != armed.Events || plain.Throughput != armed.Throughput {
+		t.Fatalf("armed RunBudgeted diverged from Run: %d/%v vs %d/%v",
+			plain.Events, plain.Throughput, armed.Events, armed.Throughput)
 	}
 }
 

@@ -6,22 +6,18 @@
 // always committed and rendered in sweep order, never in completion
 // order).
 //
-// Robustness over the file format: a crash mid-write leaves at most one
-// partial final line. OpenJournal detects the corrupt tail, truncates the
-// file back to the last complete entry, and re-runs only the lost cell.
-// Restored results do not keep their marshaled Spec — JSON does not
-// round-trip every Spec field bit-exactly — the caller's canonical
-// normalized spec replaces it (see Runner.fromJournal and
-// RunSpecsJournaled).
+// The file is a durable.Log: flocked against a second writer, fsynced
+// per append, and truncated back to the last complete entry when a
+// crash tore the final line, so only the lost cell re-runs. Restored
+// results do not keep their marshaled Spec — JSON does not round-trip
+// every Spec field bit-exactly — the caller's canonical normalized spec
+// replaces it (see CanonicalResult).
 package exp
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
+
+	"memnet/internal/durable"
 )
 
 // journalEntry is one line of the file.
@@ -31,11 +27,7 @@ type journalEntry struct {
 }
 
 // Journal appends completed sweep cells to a JSON-lines file.
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
+type Journal struct{ log *durable.Log }
 
 // OpenJournal opens (creating if needed) the journal at path and returns
 // it together with every result recoverable from previous runs, keyed by
@@ -43,82 +35,37 @@ type Journal struct {
 // crash mid-append — is truncated away so the file stays valid for
 // appending.
 func OpenJournal(path string) (*Journal, map[string]Result, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openJournal(nil, path)
+}
+
+// openJournal is OpenJournal on an injectable filesystem (nil = real).
+func openJournal(fsys durable.FS, path string) (*Journal, map[string]Result, error) {
+	loaded := map[string]Result{}
+	l, err := durable.Open(fsys, path, "journal",
+		"two writers interleaving appends would corrupt the journal — "+
+			"stop the other process or use a different journal path",
+		func(line []byte) bool {
+			var e journalEntry
+			if json.Unmarshal(line, &e) != nil || e.Key == "" {
+				return false
+			}
+			loaded[e.Key] = e.Result
+			return true
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := lockJournal(f.Fd()); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: already locked by another process (flock: %w); "+
-			"two writers interleaving appends would corrupt the journal — "+
-			"stop the other process or use a different journal path", path, err)
-	}
-	loaded := map[string]Result{}
-	var good int64 // offset just past the last fully parsed line
-	rd := bufio.NewReader(f)
-	var off int64
-	for {
-		line, err := rd.ReadBytes('\n')
-		off += int64(len(line))
-		complete := err == nil // a line without trailing \n is a torn write
-		if len(line) > 0 && complete {
-			var e journalEntry
-			if jerr := json.Unmarshal(line, &e); jerr != nil || e.Key == "" {
-				// Corrupt interior line: everything after it is suspect
-				// too, so stop here and truncate.
-				break
-			}
-			loaded[e.Key] = e.Result
-			good = off
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-		}
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: truncate torn tail: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	return &Journal{f: f, path: path}, loaded, nil
+	return &Journal{log: l}, loaded, nil
 }
 
 // Append writes one completed cell and syncs it to stable storage.
 // Safe for concurrent use.
 func (j *Journal) Append(key string, res Result) error {
-	b, err := json.Marshal(journalEntry{Key: key, Result: res})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(b); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.log.Append(journalEntry{Key: key, Result: res})
 }
 
 // Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// LockFile takes the journal subsystem's advisory single-writer lock on
-// an open file descriptor (non-blocking flock on unix, no-op elsewhere).
-// Exported so other append-only durable files — the daemon's accept
-// journal — share exactly this protocol: the lock dies with the process,
-// so a crashed holder never wedges the path.
-func LockFile(fd uintptr) error { return lockJournal(fd) }
+func (j *Journal) Path() string { return j.log.Path() }
 
 // Close releases the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }

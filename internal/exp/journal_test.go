@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"memnet/internal/core"
+	"memnet/internal/durable"
 )
 
 // TestJournalRoundTrip appends results and reloads them through
@@ -285,7 +286,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, errs := RunSpecsJournaled(specs, 2, j, loaded)
+	first, errs := RunSpecsJournaled(context.Background(), specs, 2, j, loaded)
 	for i, e := range errs {
 		if e != nil {
 			t.Fatalf("cell %d: %v", i, e)
@@ -300,7 +301,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 	if len(loaded) != len(specs) {
 		t.Fatalf("journal holds %d cells, want %d", len(loaded), len(specs))
 	}
-	second, errs := RunSpecsJournaled(specs, 2, j, loaded)
+	second, errs := RunSpecsJournaled(context.Background(), specs, 2, j, loaded)
 	j.Close()
 	for i := range specs {
 		if errs[i] != nil {
@@ -322,7 +323,7 @@ func TestRunSpecsAllContainsPanics(t *testing.T) {
 		if s.SeedSalt == 1 {
 			panic("injected cell corruption")
 		}
-		return Run(s)
+		return simulate(context.Background(), s, Budget{})
 	}
 	defer func() { runImpl = orig }()
 
@@ -343,8 +344,8 @@ func TestRunSpecsAllContainsPanics(t *testing.T) {
 	if !errors.As(errs[1], &pe) {
 		t.Fatalf("errs[1] = %v, want *PanicError", errs[1])
 	}
-	if pe.Value != "injected cell corruption" || !strings.Contains(pe.Stack, "runCell") {
-		t.Fatalf("panic not preserved: value=%v stack has runCell=%v", pe.Value, strings.Contains(pe.Stack, "runCell"))
+	if pe.Value != "injected cell corruption" || !strings.Contains(pe.Stack, "RunBudgeted") {
+		t.Fatalf("panic not preserved: value=%v stack has RunBudgeted=%v", pe.Value, strings.Contains(pe.Stack, "RunBudgeted"))
 	}
 }
 
@@ -358,7 +359,7 @@ func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 		if s.key() == poisoned {
 			panic("poisoned cell")
 		}
-		return Run(s)
+		return simulate(context.Background(), s, Budget{})
 	}
 	defer func() { runImpl = orig }()
 
@@ -410,4 +411,90 @@ func TestOpenJournalFlockConflict(t *testing.T) {
 		t.Fatalf("reopen after Close: %v", err)
 	}
 	j2.Close()
+}
+
+// TestJournalFaultFS drives the sweep journal through the fault-injection
+// seam: a full disk on append, a torn append repaired on reopen, and a
+// second opener refused by the flock.
+func TestJournalFaultFS(t *testing.T) {
+	errENOSPC := errors.New("injected ENOSPC")
+	a := tinySpec(core.PolicyNone, MechFP)
+	b := tinySpec(core.PolicyAware, MechVWLROO)
+	ctx := context.Background()
+
+	t.Run("enospc", func(t *testing.T) {
+		path := t.TempDir() + "/sweep.jsonl"
+		ffs := durable.NewFaultFS(nil)
+		j, loaded, err := openJournal(ffs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "sweep.jsonl", Err: errENOSPC, Count: -1})
+		_, errs := RunSpecsJournaled(ctx, []Spec{a}, 1, j, loaded)
+		if !errors.Is(errs[0], errENOSPC) || !strings.HasPrefix(errs[0].Error(), "journal: ") {
+			t.Fatalf("batch cell error = %v, want a journal:-wrapped ENOSPC", errs[0])
+		}
+		r := tinyRunner()
+		r.AttachJournal(j, nil)
+		if res := r.Run(b); res.Throughput <= 0 {
+			t.Fatal("a journal failure discarded the fresh result")
+		}
+		fails := r.Failures()
+		if len(fails) != 1 || fails[0].Key != r.normalize(b).key() || !errors.Is(fails[0].Err, errENOSPC) {
+			t.Fatalf("runner failures = %+v, want one journal ENOSPC for the cell", fails)
+		}
+	})
+
+	t.Run("torn-append", func(t *testing.T) {
+		path := t.TempDir() + "/sweep.jsonl"
+		ffs := durable.NewFaultFS(nil)
+		j, loaded, err := openJournal(ffs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, errs := RunSpecsJournaled(ctx, []Spec{a}, 1, j, loaded)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		// The next append persists 9 bytes and then "crashes".
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "sweep.jsonl", Err: errENOSPC, Count: 1, Short: 9})
+		if _, errs := RunSpecsJournaled(ctx, []Spec{b}, 1, j, nil); !errors.Is(errs[0], errENOSPC) {
+			t.Fatalf("torn append: err = %v, want ENOSPC", errs[0])
+		}
+		j.Close()
+
+		j, loaded, err = openJournal(ffs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, ok := loaded[a.key()]; len(loaded) != 1 || !ok {
+			t.Fatalf("reopen restored %d entries, want exactly the one before the tear", len(loaded))
+		}
+		again, errs := RunSpecsJournaled(ctx, []Spec{a, b}, 1, j, loaded)
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("resume after tear: %v / %v", errs[0], errs[1])
+		}
+		if !reflect.DeepEqual(first[0], again[0]) {
+			t.Fatal("restored entry diverged from the original result")
+		}
+		data, _ := os.ReadFile(path)
+		if n := strings.Count(string(data), "\n"); n != 2 || !strings.HasSuffix(string(data), "\n") {
+			t.Fatalf("journal after repair holds %d lines, want 2 complete ones", n)
+		}
+	})
+
+	t.Run("flock", func(t *testing.T) {
+		path := t.TempDir() + "/sweep.jsonl"
+		ffs := durable.NewFaultFS(nil)
+		j, _, err := openJournal(ffs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, _, err := openJournal(ffs, path); err == nil || !strings.Contains(err.Error(), "already locked") {
+			t.Fatalf("second opener: err = %v, want the flock conflict", err)
+		}
+	})
 }

@@ -8,6 +8,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 
 	"memnet/internal/audit"
 	"memnet/internal/core"
@@ -293,22 +294,49 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("event budget exhausted: %d events processed (budget %d)", e.Events, e.MaxEvents)
 }
 
-// Run executes one spec.
+// Run executes one spec with no cancellation and no budget.
 func Run(spec Spec) (Result, error) { return RunBudgeted(context.Background(), spec, Budget{}) }
 
-// RunCtx executes one spec under ctx: cancellation (client disconnect,
-// signal, deadline) stops the simulation within one kernel check
-// interval and returns ctx's error, so an abandoned run stops burning
-// CPU almost immediately instead of completing into the void.
-func RunCtx(ctx context.Context, spec Spec) (Result, error) {
-	return RunBudgeted(ctx, spec, Budget{})
+// RunBudgeted executes one spec. It is the one cell entry point: the
+// sweep pool, the distributed worker, memnetd and the CLIs all run cells
+// through it.
+//
+// Cancellation and the budget are enforced inside the kernel's run
+// loop: canceling ctx (client disconnect, signal, deadline) stops the
+// simulation within one kernel check interval, so an abandoned run
+// stops burning CPU almost immediately. An aborted run returns an error
+// wrapping ctx.Err() or a *BudgetError; errors.Is(err,
+// context.Canceled) therefore identifies cancellations through every
+// layer above. A panic anywhere under the simulation comes back as a
+// *PanicError, so a corrupted cell fails alone instead of crashing the
+// process — or, in a pool, the whole sweep.
+func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (res Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: string(debug.Stack())}
+		}
+	}()
+	return runImpl(ctx, spec, budget)
 }
 
-// RunBudgeted is RunCtx with a resource budget enforced inside the
-// kernel's run loop. An aborted run returns an error wrapping ctx.Err()
-// or a *BudgetError; errors.Is(err, context.Canceled) therefore
-// identifies cancellations through every layer above.
-func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
+// PanicError wraps a panic recovered inside RunBudgeted, preserving the
+// panic value and the goroutine stack at the point of recovery.
+type PanicError struct {
+	Value any
+	Stack string
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("cell panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// runImpl is swapped by tests to inject panicking/failing cells.
+var runImpl = simulate
+
+// simulate builds and runs one cell; RunBudgeted documents the
+// contract.
+func simulate(ctx context.Context, spec Spec, budget Budget) (Result, error) {
 	if spec.Workload == nil {
 		return Result{}, fmt.Errorf("exp: spec needs a workload")
 	}
@@ -619,9 +647,10 @@ func (r *Runner) normalize(spec Spec) Spec {
 }
 
 // recordMetrics logs a committed cell's time-series for MetricsEntries.
-// Both commit paths — the sequential Run and the pooled Prefetch — call
-// it exactly once per distinct cell, in the generator's first-use order,
-// which is what makes the exported metrics identical at any Jobs value.
+// The commit path (a journal restore in Uncached or a fresh result in
+// commit) calls it exactly once per distinct cell, in the generator's
+// first-use order, which is what makes the exported metrics identical at
+// any Jobs value.
 func (r *Runner) recordMetrics(key string, res Result) {
 	if res.Metrics != nil {
 		r.metricsLog = append(r.metricsLog, metrics.Entry{Key: key, Dump: res.Metrics})
@@ -648,38 +677,10 @@ func (r *Runner) Run(spec Spec) Result {
 		// while rendering; the collect pass's output is discarded.
 		return Result{Spec: spec, Hist: &stats.LinkHourHist{}}
 	}
-	if res, ok := r.fromJournal(k, spec); ok {
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("restored %s from journal", k))
-		}
-		r.cache[k] = res
-		r.recordMetrics(k, res)
-		return res
-	}
-	res, err := runCellCtx(r.ctx(), spec, Budget{})
-	if err != nil {
-		// A failed cell (audit violation, stall, or recovered panic) fails
-		// gracefully: record it, cache a placeholder so rendering
-		// completes, and let the caller inspect Failures().
-		r.failures = append(r.failures, CellFailure{Key: k, Err: err})
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("FAILED %s: %v", k, err))
-		}
-		res = Result{Spec: spec, Hist: &stats.LinkHourHist{}}
-		r.cache[k] = res
-		return res
-	}
-	if r.Progress != nil {
-		r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
-	}
-	if r.journal != nil {
-		if err := r.journal.Append(k, res); err != nil {
-			r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", err)})
-		}
-	}
-	r.cache[k] = res
-	r.recordMetrics(k, res)
-	return res
+	// The same restore-or-simulate-then-commit path as a pooled sweep:
+	// a one-cell pool runs inline on this goroutine.
+	r.Prefetch([]Spec{spec})
+	return r.cache[k]
 }
 
 // ctx resolves the runner's context.
@@ -707,22 +708,12 @@ func (r *Runner) AttachJournal(j *Journal, loaded map[string]Result) {
 	r.journaled = loaded
 }
 
-// fromJournal consumes a restored result for k, if present.
-func (r *Runner) fromJournal(k string, spec Spec) (Result, bool) {
-	res, ok := r.journaled[k]
-	if !ok {
-		return Result{}, false
-	}
-	delete(r.journaled, k)
-	return CanonicalResult(res, spec), true
-}
-
 // CanonicalResult aligns a result that crossed a serialization boundary
 // — a journal restore or the distributed wire — with the caller's
 // canonical spec. The marshaled Spec is always replaced: JSON does not
 // round-trip every Spec field bit-exactly, and downstream baseline
 // lookups re-derive keys from res.Spec. It is the single merge entry
-// point shared by journal resume (fromJournal, RunSpecsJournaled) and
+// point shared by journal resume (Runner.Uncached, RunSpecsJournaled) and
 // the distributed coordinator (internal/dist), which is what makes a
 // merged distributed journal byte-identical to a single-process one.
 func CanonicalResult(res Result, spec Spec) Result {

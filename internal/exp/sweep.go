@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -84,7 +83,9 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 		if _, ok := r.cache[k]; ok {
 			continue
 		}
-		if res, ok := r.fromJournal(k, s); ok {
+		if res, ok := r.journaled[k]; ok {
+			delete(r.journaled, k)
+			res = CanonicalResult(res, s)
 			if r.Progress != nil {
 				r.Progress(fmt.Sprintf("restored %s from journal", k))
 			}
@@ -132,63 +133,11 @@ func (r *Runner) commit(specs []Spec, results []Result, errs []error, journal bo
 	}
 }
 
-// PanicError wraps a panic recovered inside a sweep worker, preserving
-// the panic value and the goroutine stack at the point of recovery.
-type PanicError struct {
-	Value any
-	Stack string
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("cell panicked: %v\n%s", e.Value, e.Stack)
-}
-
-// runImpl is swapped by tests to inject panicking/failing cells.
-var runImpl = RunBudgeted
-
-// RunCell executes one sweep cell with the standard panic containment:
-// a panic anywhere under Run comes back as a structured *PanicError
-// instead of crashing the process. It is the execution entry point for
-// distributed workers (internal/dist), which must fail one cell — never
-// the whole worker — on a corrupted simulation.
-func RunCell(spec Spec) (Result, error) { return runCell(spec) }
-
-// RunCellCtx is RunCell under a context: cancellation aborts the cell
-// within one kernel check interval. It is the entry point the daemon
-// (internal/serve) and the distributed worker use, so a dead client or
-// a dismissed worker stops consuming CPU promptly.
-func RunCellCtx(ctx context.Context, spec Spec) (Result, error) {
-	return runCellCtx(ctx, spec, Budget{})
-}
-
-// RunCellBudgeted is RunCellCtx with a resource budget (see RunBudgeted).
-func RunCellBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
-	return runCellCtx(ctx, spec, budget)
-}
-
-// runCell executes one sweep cell, converting a panic anywhere under Run
-// into a structured *PanicError so a corrupted cell fails alone instead
-// of crashing the process (and, in the pool, the whole sweep).
-func runCell(spec Spec) (res Result, err error) {
-	return runCellCtx(context.Background(), spec, Budget{})
-}
-
-// runCellCtx is runCell's context/budget-threading core.
-func runCellCtx(ctx context.Context, spec Spec, budget Budget) (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: string(debug.Stack())}
-		}
-	}()
-	return runImpl(ctx, spec, budget)
-}
-
 // RunSpecsAll executes specs with jobs parallel workers (<= 0 means
 // runtime.GOMAXPROCS(0)) and returns results and errors aligned with the
 // input. Each job is hermetic — own kernel, network, workload, RNG — so
 // the only shared state is the output slot each worker owns. Panics are
-// contained per cell (see runCell).
+// contained per cell (see RunBudgeted).
 func RunSpecsAll(specs []Spec, jobs int) ([]Result, []error) {
 	return RunSpecsAllCtx(context.Background(), specs, jobs)
 }
@@ -222,7 +171,7 @@ func runSpecsAll(ctx context.Context, specs []Spec, jobs int,
 			errs[i] = err
 			return
 		}
-		results[i], errs[i] = runCellCtx(ctx, specs[i], Budget{})
+		results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})
 		if onDone != nil {
 			errs[i] = onDone(i, results[i], errs[i])
 		}
@@ -269,21 +218,16 @@ func RunSpecs(specs []Spec, jobs int) ([]Result, error) {
 	return results, nil
 }
 
-// RunSpecsJournaled is RunSpecs with crash-safe resume: cells whose keys
-// appear in loaded are restored (with spec replaced by the caller's
-// canonical copy) instead of simulated, and every fresh success is
-// appended to j before the function returns. Results stay in input
-// order; errs aligns with the input and is nil where the cell succeeded.
-func RunSpecsJournaled(specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
-	return RunSpecsJournaledCtx(context.Background(), specs, jobs, j, loaded)
-}
-
-// RunSpecsJournaledCtx is RunSpecsJournaled under a context. Each fresh
-// success is appended (and fsynced) the moment its cell completes, not
-// at sweep end, so a crash or interrupt loses at most the cells that
-// were still in flight. Canceled cells are not journaled — a resumed
-// sweep picks up exactly at the completion frontier.
-func RunSpecsJournaledCtx(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
+// RunSpecsJournaled is RunSpecsAllCtx with crash-safe resume: cells
+// whose keys appear in loaded are restored (with spec replaced by the
+// caller's canonical copy) instead of simulated, and each fresh success
+// is appended (and fsynced) to j the moment its cell completes, not at
+// sweep end, so a crash or interrupt loses at most the cells that were
+// still in flight. Canceled cells are not journaled — a resumed sweep
+// picks up exactly at the completion frontier. Results stay in input
+// order; errs aligns with the input and is nil where the cell
+// succeeded. j may be nil (restore only).
+func RunSpecsJournaled(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
 	var todo []Spec

@@ -167,7 +167,7 @@ func MeasureSweep(specs []Spec, jobs int) (SweepBench, error) {
 	}
 	timeCellArmed := func(i int, res []Result) (float64, error) {
 		start := time.Now()
-		r, err := RunCtx(armedCtx, specs[i])
+		r, err := RunBudgeted(armedCtx, specs[i], Budget{})
 		if err != nil {
 			return 0, err
 		}

@@ -15,13 +15,14 @@ import (
 	"testing"
 	"time"
 
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 )
 
 // errENOSPC is the canonical full-disk error the fault tests inject.
 var errENOSPC = syscall.ENOSPC
 
-func openAcceptLog(t *testing.T, path string, fsys FS) (*AcceptLog, []AcceptedJob) {
+func openAcceptLog(t *testing.T, path string, fsys durable.FS) (*AcceptLog, []AcceptedJob) {
 	t.Helper()
 	a, pending, err := OpenAcceptLog(path, fsys)
 	if err != nil {
@@ -109,13 +110,13 @@ func TestAcceptLogTombstoneBeforeAccept(t *testing.T) {
 // truncated away and everything before it replays intact.
 func TestAcceptLogTornTailReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "accept.wal")
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	a, _ := openAcceptLog(t, path, ffs)
 	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// The next append persists 9 bytes and then "crashes".
-	ffs.Fail(FaultRule{Op: OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
 	if err := a.Accept(acceptedJob("j2", 1)); err == nil {
 		t.Fatal("torn append reported success")
 	}
@@ -177,7 +178,7 @@ func TestRecoverReenqueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RunCell(specs[0])
+	res, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestDrainCancelStaysPending(t *testing.T) {
 // and the same spec resubmitted simulates again — cache-miss behavior,
 // not an error.
 func TestPutENOSPCDegrades(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	store, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +429,7 @@ func TestPutENOSPCDegrades(t *testing.T) {
 	s := New(Config{Store: store, QueueDepth: 4, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpWrite, Path: ".put-", Err: errENOSPC, Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: -1})
 
 	sr := submit(t, hs, tinyBody("20us", 0))
 	st := waitTerminal(t, hs, sr.ID, 2*time.Minute)
@@ -462,13 +463,13 @@ func TestAcceptAppendFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	a, _ := openAcceptLog(t, filepath.Join(dir, "accept.wal"), ffs)
 	defer a.Close()
 	s := New(Config{Store: store, Accepts: a, QueueDepth: 4, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpWrite, Path: "accept.wal", Err: errENOSPC, Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: -1})
 
 	sr := submit(t, hs, tinyBody("20us", 0))
 	// The degradation is visible to the client, not just a counter: the
@@ -565,7 +566,7 @@ func TestQuarantinedEntryResimulates(t *testing.T) {
 // surface: when the store directory is unreadable, /statusz reports the
 // scan error instead of a phantom empty store.
 func TestStatuszSurfacesScanError(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	store, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +574,7 @@ func TestStatuszSurfacesScanError(t *testing.T) {
 	s := New(Config{Store: store, QueueDepth: 1, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	// Dirty the store so the scan cache (warmed by the metrics baseline
 	// pull at New) cannot mask the injected fault.
 	if err := store.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {

@@ -81,17 +81,27 @@ func newJob(id string, keys []string, ctx context.Context, cancel context.Cancel
 	}
 }
 
-// publish appends an event to the replay log and fans it out. A
-// subscriber whose buffer is full is closed and dropped — a stalled
-// reader must not stall the job.
+// publish appends an event to the replay log and fans it out.
 func (j *job) publish(typ string, payload any) {
+	ev := newEvent(typ, payload)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.emitLocked(ev)
+}
+
+// newEvent marshals an event payload.
+func newEvent(typ string, payload any) Event {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		data = json.RawMessage(`{"error":"event payload not encodable"}`)
 	}
-	ev := Event{Type: typ, Data: data}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	return Event{Type: typ, Data: data}
+}
+
+// emitLocked appends ev to the replay log and fans it out; j.mu must be
+// held. A subscriber whose buffer is full is closed and dropped — a
+// stalled reader must not stall the job.
+func (j *job) emitLocked(ev Event) {
 	j.events = append(j.events, ev)
 	for ch := range j.subs {
 		select {
@@ -104,22 +114,22 @@ func (j *job) publish(typ string, payload any) {
 }
 
 // finish moves the job to a terminal state, publishes the final "done"
-// event, closes every subscriber and releases waiters. It reports
-// whether this call performed the transition — the caller that wins
-// owns the follow-up bookkeeping (counters, accept-journal tombstone).
-func (j *job) finish(state, errMsg string, summary any) bool {
+// event — the job's status after the transition, with per-cell detail
+// when it failed — closes every subscriber and releases waiters. The
+// transition and the "done" event share one critical section, so a
+// subscriber sees either a live job or a replay ending in "done". It
+// reports whether this call performed the transition — the caller that
+// wins owns the follow-up bookkeeping (counters, accept-journal
+// tombstone).
+func (j *job) finish(state, errMsg string) bool {
 	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
+	if j.terminalLocked() {
 		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.errMsg = errMsg
-	j.mu.Unlock()
-
-	j.publish("done", summary)
-
-	j.mu.Lock()
+	j.emitLocked(newEvent("done", j.statusLocked(state == StateFailed)))
 	for ch := range j.subs {
 		delete(j.subs, ch)
 		close(ch)
@@ -130,6 +140,12 @@ func (j *job) finish(state, errMsg string, summary any) bool {
 	return true
 }
 
+// terminalLocked reports whether the job has finished; j.mu must be
+// held.
+func (j *job) terminalLocked() bool {
+	return j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+}
+
 // subscribe returns the replay of everything published so far plus a
 // live channel for what follows. The channel is closed when the job
 // finishes or the subscriber lags; the caller must drain it and then
@@ -138,7 +154,7 @@ func (j *job) subscribe() ([]Event, chan Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay := append([]Event(nil), j.events...)
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
+	if j.terminalLocked() {
 		return replay, nil
 	}
 	ch := make(chan Event, subCap)
@@ -176,6 +192,11 @@ type Status struct {
 func (j *job) status(withKeys bool) Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked(withKeys)
+}
+
+// statusLocked is status with j.mu already held.
+func (j *job) statusLocked(withKeys bool) Status {
 	st := Status{
 		ID:        j.id,
 		State:     j.state,

@@ -564,10 +564,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state := j.state
+	terminal := j.terminalLocked()
 	results := append([]json.RawMessage(nil), j.results...)
 	j.mu.Unlock()
-	if state != StateDone && state != StateFailed && state != StateCanceled {
+	if !terminal {
 		writeJSON(w, http.StatusAccepted, j.status(false))
 		return
 	}
@@ -604,7 +604,7 @@ func (s *Server) cancelJob(j *job, why string) {
 	if queued {
 		// Losing the race to a runner is fine: the canceled context
 		// bounces the job straight back through runJob's finish path.
-		s.finishJob(j, StateCanceled, why, j.status(false))
+		s.finishJob(j, StateCanceled, why)
 	}
 }
 
@@ -612,8 +612,8 @@ func (s *Server) cancelJob(j *job, why string) {
 // the transition, updates the cancel counter and tombstones the job in
 // the accept journal. Drain-canceled jobs skip the tombstone on
 // purpose: they are the jobs the next process life must resume.
-func (s *Server) finishJob(j *job, state, errMsg string, summary any) bool {
-	if !j.finish(state, errMsg, summary) {
+func (s *Server) finishJob(j *job, state, errMsg string) bool {
+	if !j.finish(state, errMsg) {
 		return false
 	}
 	if state == StateCanceled {
@@ -716,7 +716,7 @@ func (s *Server) runJob(j *job) {
 	failed := false
 	for i, spec := range j.specs {
 		if err := j.ctx.Err(); err != nil {
-			s.finishJob(j, StateCanceled, err.Error(), j.status(false))
+			s.finishJob(j, StateCanceled, err.Error())
 			return
 		}
 		key := j.keys[i]
@@ -742,14 +742,14 @@ func (s *Server) runJob(j *job) {
 			}
 			budget.MaxEvents = remaining
 		}
-		res, err := exp.RunCellBudgeted(j.ctx, spec, budget)
+		res, err := exp.RunBudgeted(j.ctx, spec, budget)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				why := "canceled"
 				if errors.Is(err, context.DeadlineExceeded) {
 					why = "wall budget exhausted"
 				}
-				s.finishJob(j, StateCanceled, why, j.status(false))
+				s.finishJob(j, StateCanceled, why)
 				return
 			}
 			// Budget overruns, audit violations and contained panics fail
@@ -804,9 +804,9 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	if failed {
-		s.finishJob(j, StateFailed, "one or more cells failed", j.status(true))
+		s.finishJob(j, StateFailed, "one or more cells failed")
 	} else {
-		s.finishJob(j, StateDone, "", j.status(false))
+		s.finishJob(j, StateDone, "")
 	}
 }
 
@@ -818,7 +818,7 @@ func (s *Server) pinnedKeys() map[string]bool {
 	defer s.jobMu.Unlock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.state == StateQueued || j.state == StateRunning {
+		if !j.terminalLocked() {
 			for _, k := range j.keys {
 				pinned[k] = true
 			}

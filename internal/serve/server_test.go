@@ -297,6 +297,45 @@ func TestStreamReplayAndMetrics(t *testing.T) {
 	}
 }
 
+// TestDoneEventCarriesTerminalStatus subscribes after a job's terminal
+// transition: the replay must end in a "done" event carrying the
+// terminal status — state, error and, for a failed job, the per-cell
+// errors — not a snapshot taken before the transition.
+func TestDoneEventCarriesTerminalStatus(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	for _, tc := range []struct {
+		body, state, err string
+	}{
+		{tinyBody("20us", 0), StateDone, ""},
+		{`{"runs":[{"workload":"mixG","simtime":"20us","warmup":"5us"}],"event_budget":1000}`,
+			StateFailed, "one or more cells failed"},
+	} {
+		sr := submit(t, hs.URL, tc.body)
+		waitTerminal(t, hs.URL, sr.ID, 30*time.Second)
+		resp, err := http.Get(hs.URL + "/jobs/" + sr.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body) // terminal job: replay then EOF
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := strings.Split(strings.TrimSpace(string(data)), "\n\n")
+		payload, ok := strings.CutPrefix(events[len(events)-1], "event: done\ndata: ")
+		if !ok {
+			t.Fatalf("%s: replay does not end in a done event:\n%s", sr.ID, data)
+		}
+		var st Status
+		if err := json.Unmarshal([]byte(payload), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != tc.state || st.Error != tc.err || (tc.state == StateFailed) != (len(st.CellErrs) > 0) {
+			t.Errorf("%s: done event = %+v, want state %q, error %q", sr.ID, st, tc.state, tc.err)
+		}
+	}
+}
+
 // TestEventBudgetFailsJob pins the per-job event budget: a budget far
 // below the cell's event count fails the job with a budget error.
 func TestEventBudgetFailsJob(t *testing.T) {
